@@ -46,27 +46,6 @@ class CountingConnection : public sobc::Connection {
   WireCounters* counters_;
 };
 
-class CountingListener : public sobc::Listener {
- public:
-  CountingListener(std::unique_ptr<sobc::Listener> inner,
-                   WireCounters* counters)
-      : inner_(std::move(inner)), counters_(counters) {}
-
-  sobc::Result<std::unique_ptr<sobc::Connection>> Accept(
-      double timeout_seconds) override {
-    auto conn = inner_->Accept(timeout_seconds);
-    if (!conn.ok()) return conn.status();
-    return std::unique_ptr<sobc::Connection>(
-        new CountingConnection(std::move(*conn), counters_));
-  }
-  std::string address() const override { return inner_->address(); }
-  void Close() override { inner_->Close(); }
-
- private:
-  std::unique_ptr<sobc::Listener> inner_;
-  WireCounters* counters_;
-};
-
 }  // namespace
 
 sobc::Status CountingStore::View(sobc::VertexId s, sobc::SourceView* view) {
@@ -103,20 +82,12 @@ sobc::Status CountingStore::Apply(sobc::VertexId s,
   return st;
 }
 
-sobc::Result<std::unique_ptr<sobc::Listener>> CountingTransport::Listen(
-    const std::string& address) {
-  auto listener = inner_->Listen(address);
-  if (!listener.ok()) return listener.status();
-  return std::unique_ptr<sobc::Listener>(
-      new CountingListener(std::move(*listener), &accepted_));
-}
-
 sobc::Result<std::unique_ptr<sobc::Connection>> CountingTransport::Connect(
     const std::string& address, double timeout_seconds) {
   auto conn = inner_->Connect(address, timeout_seconds);
   if (!conn.ok()) return conn.status();
   return std::unique_ptr<sobc::Connection>(
-      new CountingConnection(std::move(*conn), &dialed_));
+      new CountingConnection(std::move(*conn), &counters_));
 }
 
 }  // namespace perfbench

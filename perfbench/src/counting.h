@@ -61,7 +61,7 @@ class CountingStore : public sobc::BdStore {
   std::int64_t write_ns_ = 0;
 };
 
-/// Wire counters of one side of the cluster plane (coordinator or shard).
+/// Wire counters of the coordinator's side of the cluster plane.
 struct WireCounters {
   std::atomic<std::uint64_t> frames_sent{0};
   std::atomic<std::uint64_t> frames_received{0};
@@ -74,26 +74,25 @@ struct WireCounters {
   std::atomic<std::int64_t> recv_wait_ns{0};
 };
 
-/// Wraps a Transport: connections it dials count into `dialed`, the ones
-/// its listeners accept into `accepted`. The coordinator dials shards, so
-/// with one instance shared by both sides the two counter sets separate
-/// coordinator-side from shard-side traffic.
+/// Wraps a Transport and counts the connections it dials. Only the
+/// coordinator dials (shards listen, and their accepted connections pass
+/// through uncounted), so the counters are the coordinator's side.
 class CountingTransport : public sobc::Transport {
  public:
   explicit CountingTransport(sobc::Transport* inner) : inner_(inner) {}
 
   sobc::Result<std::unique_ptr<sobc::Listener>> Listen(
-      const std::string& address) override;
+      const std::string& address) override {
+    return inner_->Listen(address);
+  }
   sobc::Result<std::unique_ptr<sobc::Connection>> Connect(
       const std::string& address, double timeout_seconds) override;
 
-  const WireCounters& dialed() const { return dialed_; }
-  const WireCounters& accepted() const { return accepted_; }
+  const WireCounters& dialed() const { return counters_; }
 
  private:
   sobc::Transport* inner_;
-  WireCounters dialed_;
-  WireCounters accepted_;
+  WireCounters counters_;
 };
 
 }  // namespace perfbench
