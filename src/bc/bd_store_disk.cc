@@ -208,6 +208,12 @@ void DiskBdStore::Hint(std::span<const VertexId> sources) {
   if (prefetcher_.running()) prefetcher_.Hint(sources);
 }
 
+std::size_t DiskBdStore::CachedRecordSlots() const {
+  return shared_->cache.RecordSlots(
+      sizeof(CachedRecord) +
+      num_vertices_ * (sizeof(Distance) + sizeof(PathCount) + sizeof(double)));
+}
+
 Status DiskBdStore::CheckSource(VertexId s) const {
   if (s < begin_ || s >= source_end()) {
     return Status::OutOfRange("source " + std::to_string(s) +

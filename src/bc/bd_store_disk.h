@@ -139,6 +139,10 @@ class DiskBdStore : public BdStore {
   const std::string& path() const { return file_->path(); }
 
   RecordCache::Stats cache_stats() const { return shared_->cache.stats(); }
+  /// Decoded records of the current vertex count the shared cache holds
+  /// when full (0 when caching is off or one record outgrows a shard) —
+  /// the budget the batch drain sizes its chunks and read-ahead by.
+  std::size_t CachedRecordSlots() const;
   DiskIoStats io_stats() const;
   PrefetchStats prefetch_stats() const { return prefetcher_.stats(); }
   bool prefetch_enabled() const { return prefetcher_.running(); }

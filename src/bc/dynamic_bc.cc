@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,10 +30,6 @@ DiskBdStoreOptions MakeDiskOptions(const DynamicBcOptions& options) {
   return disk;
 }
 
-/// Sources the serial out-of-core drain hints ahead of the slab it is
-/// about to compute — the double-buffer depth of the prefetch pipeline.
-constexpr std::size_t kSerialPrefetchSlab = 128;
-
 /// Sample-state sidecar written beside the score file by Checkpoint() in
 /// approx mode (the CLI resume path; the service path carries the blob in
 /// its checkpoint manifest instead).
@@ -48,12 +43,6 @@ MsBfsOptions MakeMsBfsOptions(const DynamicBcOptions& options) {
 }
 
 }  // namespace
-
-void DynamicBc::ConfigureKernels() {
-  const MsBfsOptions msbfs = MakeMsBfsOptions(options_);
-  engine_.ConfigureMsBfs(options_.msbfs, msbfs);
-  prefilter_.ConfigureMsBfs(options_.msbfs, msbfs);
-}
 
 Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
     Graph graph, const DynamicBcOptions& options) {
@@ -151,7 +140,7 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
     // patches it in O(degree) (asserted via CsrView::stats().builds).
     bc->graph_.csr();
   }
-  bc->ConfigureKernels();
+  bc->prefilter_.ConfigureMsBfs(options.msbfs, MakeMsBfsOptions(options));
   BrandesOptions brandes;
   brandes.pred_mode = pred_mode;
   brandes.use_csr = options.use_csr;
@@ -274,7 +263,7 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Resume(
         static_cast<std::size_t>(resolved.num_threads));
   }
   if (options.use_csr) bc->graph_.csr();
-  bc->ConfigureKernels();
+  bc->prefilter_.ConfigureMsBfs(options.msbfs, MakeMsBfsOptions(options));
   bc->scores_ = std::move(*scores);
   return bc;
 }
@@ -318,8 +307,7 @@ int DynamicBc::num_threads() const {
 }
 
 std::uint64_t DynamicBc::MsBfsScratchAllocations() const {
-  std::uint64_t total = engine_.msbfs_scratch().allocation_events() +
-                        prefilter_.scratch().allocation_events();
+  std::uint64_t total = prefilter_.scratch().allocation_events();
   for (const ApplyWorker& wk : workers_) {
     if (wk.engine != nullptr) {
       total += wk.engine->msbfs_scratch().allocation_events();
@@ -360,16 +348,28 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
     SOBC_RETURN_NOT_OK(store_->Grow(needed));
   }
   if (scores_.vbc.size() < needed) scores_.vbc.resize(needed, 0.0);
-  for (const EdgeUpdate& update : batch) {
-    SOBC_RETURN_NOT_OK(ApplyToGraph(&graph_, update));
-    SOBC_RETURN_NOT_OK(ApplyPrepared(update));
+  // Mutate the graph update by update, collecting each step's worklist on
+  // the graph that step leaves; then repair every step in one drain. An
+  // update the graph refuses ends the batch there: the steps before it
+  // are repaired and the error is returned.
+  worklists_.clear();
+  step_ranges_.clear();
+  Status refused;
+  std::size_t applied = 0;
+  for (; applied < batch.size(); ++applied) {
+    refused = ApplyToGraph(&graph_, batch[applied]);
+    if (!refused.ok()) break;
+    SOBC_RETURN_NOT_OK(CollectWorklist(batch[applied]));
   }
+  const std::span<const EdgeUpdate> done = batch.first(applied);
+  SOBC_RETURN_NOT_OK(Drain(done));
   // A net-removed edge's ebc entry holds only floating-point residue.
-  for (const EdgeUpdate& update : batch) {
+  for (const EdgeUpdate& update : done) {
     if (update.op == EdgeOp::kRemove && !graph_.HasEdge(update.u, update.v)) {
       scores_.ebc.erase(graph_.MakeKey(update.u, update.v));
     }
   }
+  SOBC_RETURN_NOT_OK(refused);
   if (approx_ != nullptr) {
     // Drift accounting + at most max_swaps_per_batch resampling swaps,
     // after the batch's repairs landed (swap sweeps must run on the
@@ -383,7 +383,7 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
 
 BrandesOptions DynamicBc::SweepOptions() const {
   BrandesOptions brandes;
-  brandes.pred_mode = engine_.pred_mode();
+  brandes.pred_mode = pred_mode_;
   brandes.use_csr = options_.use_csr;
   brandes.use_msbfs = options_.msbfs;
   brandes.msbfs = MakeMsBfsOptions(options_);
@@ -400,7 +400,7 @@ BcScores DynamicBc::EstimatedScores() const {
   return estimates;
 }
 
-Status DynamicBc::ApplyPrepared(const EdgeUpdate& update) {
+Status DynamicBc::CollectWorklist(const EdgeUpdate& update) {
   const std::size_t n = graph_.NumVertices();
   // A scoped framework (cluster shard) walks only its owned partition;
   // sources outside it belong to other shards and never enter this
@@ -438,49 +438,49 @@ Status DynamicBc::ApplyPrepared(const EdgeUpdate& update) {
     last_stats_.sources_total += skipped;
     last_stats_.sources_skipped += skipped;
     last_stats_.sources_prefiltered += skipped;
-  } else if (approx_ != nullptr) {
-    // Without the prefilter the drain probes BD[s] per source, so the
-    // worklist is simply every sampled source, in stable slot order.
-    const std::span<const VertexId> ids = approx_->samples().ids();
-    worklist_.assign(ids.begin(), ids.end());
-  } else {
-    worklist_.resize(owned);
-    std::iota(worklist_.begin(), worklist_.end(), owned_begin);
+    step_ranges_.emplace_back(worklists_.size(),
+                              worklists_.size() + worklist_.size());
+    worklists_.insert(worklists_.end(), worklist_.begin(), worklist_.end());
+    return Status::OK();
   }
-  if (worklist_.empty()) return Status::OK();
-  if (pool_ == nullptr) {
-    if (disk_root_ != nullptr && disk_root_->prefetch_enabled() &&
-        worklist_.size() > kSerialPrefetchSlab) {
-      // Double-buffered serial drain: hint the next slab before computing
-      // the current one, so the background reader decodes records while
-      // the engine repairs the previous batch.
-      // Hints go through store_ (not disk_root_): in approx mode the
-      // adapter translates the sampled ids to their slots first.
-      const std::span<const VertexId> all = worklist_;
-      store_->Hint(all.subspan(0, kSerialPrefetchSlab));
-      for (std::size_t off = 0; off < all.size();
-           off += kSerialPrefetchSlab) {
-        const std::size_t count =
-            std::min(kSerialPrefetchSlab, all.size() - off);
-        const std::size_t next = off + count;
-        if (next < all.size()) {
-          store_->Hint(all.subspan(
-              next, std::min(kSerialPrefetchSlab, all.size() - next)));
-        }
-        SOBC_RETURN_NOT_OK(engine_.ApplyUpdateForSources(
-            graph_, update, all.subspan(off, count), store_.get(), &scores_,
-            &last_stats_));
-      }
-      return Status::OK();
+  // Without the prefilter the drain probes BD[s] for every owned source.
+  // The partition only grows within a batch and the sample set not at
+  // all, so each step's worklist is a prefix of one ascending list.
+  if (approx_ != nullptr) {
+    if (worklists_.empty()) {
+      const std::span<const VertexId> ids = approx_->samples().ids();
+      worklists_.assign(ids.begin(), ids.end());
+      std::sort(worklists_.begin(), worklists_.end());
     }
-    return engine_.ApplyUpdateForSources(graph_, update, worklist_,
-                                         store_.get(), &scores_, &last_stats_);
+  } else {
+    while (worklists_.size() < owned) {
+      worklists_.push_back(options_.source_begin +
+                           static_cast<VertexId>(worklists_.size()));
+    }
   }
-  return ParallelDrain(update);
+  step_ranges_.emplace_back(0, owned);
+  return Status::OK();
+}
+
+std::span<const VertexId> DynamicBc::StepSlice(
+    std::size_t step, std::span<const VertexId> chunk) const {
+  // Chunks are contiguous runs of the ascending union and every step's
+  // worklist is an ascending subset of it, so the step's share of a chunk
+  // is the contiguous run of its worklist between the chunk's ends.
+  const auto [begin, end] = step_ranges_[step];
+  const std::span<const VertexId> all =
+      std::span<const VertexId>(worklists_).subspan(begin, end - begin);
+  const auto lo = std::lower_bound(all.begin(), all.end(), chunk.front());
+  const auto hi = std::upper_bound(lo, all.end(), chunk.back());
+  return {lo, hi};
 }
 
 Status DynamicBc::EnsureWorkers(std::size_t w, std::size_t n) {
   if (workers_.size() < w) workers_.resize(w);
+  // A single worker runs on the calling thread straight against the root
+  // store and the maintained scores; only a fan-out needs per-worker
+  // store handles and score partials.
+  const bool fan_out = w > 1;
   const bool disk = options_.variant == BcVariant::kOutOfCore;
   if (disk && disk_root_ == nullptr) {
     return Status::Internal("kOutOfCore framework without a disk store");
@@ -488,12 +488,13 @@ Status DynamicBc::EnsureWorkers(std::size_t w, std::size_t n) {
   for (std::size_t i = 0; i < w; ++i) {
     ApplyWorker& wk = workers_[i];
     if (wk.engine == nullptr) {
-      wk.engine = std::make_unique<IncrementalEngine>(engine_.pred_mode(),
-                                                      options_.use_csr);
+      wk.engine =
+          std::make_unique<IncrementalEngine>(pred_mode_, options_.use_csr);
     }
     wk.engine->ConfigureMsBfs(options_.msbfs, MakeMsBfsOptions(options_));
-    if (disk && (wk.disk_store == nullptr ||
-                 wk.disk_store->num_vertices() != store_->num_vertices())) {
+    if (fan_out && disk &&
+        (wk.disk_store == nullptr ||
+         wk.disk_store->num_vertices() != store_->num_vertices())) {
       // Fresh or stale (a Grow changed the layout or swapped the backing
       // file): reopen onto the current file. OpenShared keeps every worker
       // on the root's record cache and epochs, which is what lets handles
@@ -509,55 +510,98 @@ Status DynamicBc::EnsureWorkers(std::size_t w, std::size_t n) {
         wk.disk_store = std::move(*handle);
       }
     }
-    wk.delta.vbc.assign(n, 0.0);
-    wk.delta.ebc.clear();
+    if (fan_out) {
+      wk.delta.vbc.assign(n, 0.0);
+      wk.delta.ebc.clear();
+    }
     wk.stats = UpdateStats{};
     wk.status = Status::OK();
   }
   return Status::OK();
 }
 
-Status DynamicBc::ParallelDrain(const EdgeUpdate& update) {
+Status DynamicBc::Drain(std::span<const EdgeUpdate> batch) {
   const std::size_t n = graph_.NumVertices();
-  FillSourceCostWeights(graph_, options_.use_csr, worklist_, &weights_);
+  // The batch's distinct sources, ascending, each weighted by its
+  // degree-based cost times the number of steps that repair it.
+  if (hits_.size() < n) hits_.resize(n, 0);
+  sources_.clear();
+  for (const auto& [begin, end] : step_ranges_) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (hits_[worklists_[i]]++ == 0) sources_.push_back(worklists_[i]);
+    }
+  }
+  if (sources_.empty()) return Status::OK();
+  if (step_ranges_.size() > 1) std::sort(sources_.begin(), sources_.end());
+  FillSourceCostWeights(graph_, options_.use_csr, sources_, &weights_);
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    weights_[i] *= hits_[sources_[i]];
+    hits_[sources_[i]] = 0;
+  }
+  steps_.Build(graph_, batch, options_.use_csr);
+
+  const std::size_t workers = pool_ == nullptr ? 1 : pool_->num_threads();
   SourceSharderOptions sharding;
-  sharding.num_workers = pool_->num_threads();
+  sharding.num_workers = workers;
+  // In memory a lone worker gains nothing from cutting the batch: one
+  // chunk is exactly the per-update loop. A pool needs chunks to balance.
+  if (pool_ == nullptr) sharding.chunks_per_worker = 1;
   // Chunk cuts snap to the kernel's lane width so every chunk drains in
   // whole 64-source batches (ragged tails waste lane occupancy).
   if (options_.msbfs) sharding.batch_align = MsBfsScratch::kLanes;
-  sharder_.Reset(worklist_, weights_, sharding);
-  const std::size_t w = std::min(pool_->num_threads(), sharder_.num_chunks());
+  // Out of core, a chunk's records must stay cached while it walks every
+  // step, and so must the chunks read ahead for the other workers: the w
+  // chunks in flight plus w hinted ahead fill half of the cache's record
+  // slots, the other half absorbs the uneven spread of records over the
+  // cache's hash shards. A cache too small for that gets no cap and no
+  // read-ahead — prefetched records would be evicted before their use.
+  const std::size_t slots =
+      disk_root_ == nullptr ? 0 : disk_root_->CachedRecordSlots();
+  sharding.max_chunk_sources = slots / (4 * workers);
+  sharder_.Reset(sources_, weights_, sharding);
+  const std::size_t chunks = sharder_.num_chunks();
+  const std::size_t w = std::min(workers, chunks);
   SOBC_RETURN_NOT_OK(EnsureWorkers(w, n));
 
   // Prefetch pipeline: the sharder publishes the chunk sequence, so hints
   // can run `lookahead` claims ahead of the work-stealing cursor. The
   // worker claiming chunk i hints chunk i + lookahead (each chunk is
   // hinted exactly once); the first `lookahead` chunks are primed here.
-  const std::size_t chunks = sharder_.num_chunks();
-  const bool prefetch =
-      disk_root_ != nullptr && disk_root_->prefetch_enabled();
-  const std::size_t lookahead = w + 1;
+  // Hints go through store_ (not disk_root_): in approx mode the adapter
+  // translates the sampled ids to their slots first.
+  const bool prefetch = disk_root_ != nullptr &&
+                        disk_root_->prefetch_enabled() &&
+                        sharding.max_chunk_sources > 0;
+  const std::size_t lookahead = w;
   if (prefetch) {
     for (std::size_t c = 0; c < std::min(lookahead, chunks); ++c) {
       store_->Hint(sharder_.ChunkSources(c));
     }
   }
 
+  // Chunk-major: each chunk walks the batch's steps in order, so step i
+  // repairs BD[s] exactly as step i - 1 left it, on G_i (DESIGN.md §8).
   auto run_worker = [&](std::size_t i) {
     ApplyWorker& wk = workers_[i];
-    BdStore* store = wk.disk_store ? wk.disk_store.get() : store_.get();
+    BdStore* store = w > 1 && wk.disk_store ? wk.disk_store.get()
+                                            : store_.get();
+    BcScores* scores = w > 1 ? &wk.delta : &scores_;
     std::span<const VertexId> chunk;
     std::size_t idx = 0;
     while (sharder_.Next(&chunk, &idx)) {
       if (prefetch && idx + lookahead < chunks) {
         store_->Hint(sharder_.ChunkSources(idx + lookahead));
       }
-      const Status st = wk.engine->ApplyUpdateForSources(
-          graph_, update, chunk, store, &wk.delta, &wk.stats);
-      if (!st.ok()) {
-        wk.status = st;
-        sharder_.Abort();
-        return;
+      for (std::size_t step = 0; step < batch.size(); ++step) {
+        const std::span<const VertexId> slice = StepSlice(step, chunk);
+        if (slice.empty()) continue;
+        const Status st = wk.engine->ApplyStepForSources(
+            graph_, steps_, step, slice, store, scores, &wk.stats);
+        if (!st.ok()) {
+          wk.status = st;
+          sharder_.Abort();
+          return;
+        }
       }
     }
   };
@@ -567,15 +611,16 @@ Status DynamicBc::ParallelDrain(const EdgeUpdate& update) {
     ParallelFor(pool_.get(), w, run_worker);
   }
   for (std::size_t i = 0; i < w; ++i) {
+    last_stats_.Merge(workers_[i].stats);
     SOBC_RETURN_NOT_OK(workers_[i].status);
   }
-
-  std::vector<BcScores*> partials;
-  partials.reserve(w);
-  for (std::size_t i = 0; i < w; ++i) partials.push_back(&workers_[i].delta);
-  TreeReduceScores(w > 2 ? pool_.get() : nullptr, partials);
-  scores_.Merge(workers_[0].delta);
-  for (std::size_t i = 0; i < w; ++i) last_stats_.Merge(workers_[i].stats);
+  if (w > 1) {
+    std::vector<BcScores*> partials;
+    partials.reserve(w);
+    for (std::size_t i = 0; i < w; ++i) partials.push_back(&workers_[i].delta);
+    TreeReduceScores(w > 2 ? pool_.get() : nullptr, partials);
+    scores_.Merge(workers_[0].delta);
+  }
   return Status::OK();
 }
 

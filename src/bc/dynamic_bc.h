@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bc/bc_types.h"
@@ -15,6 +16,7 @@
 #include "common/status.h"
 #include "graph/edge_stream.h"
 #include "graph/graph.h"
+#include "graph/step_view.h"
 #include "parallel/source_sharder.h"
 #include "parallel/thread_pool.h"
 #include "storage/record_codec.h"
@@ -55,7 +57,7 @@ struct DynamicBcOptions {
   /// adjacency-list path remains selectable so the CSR win stays
   /// measurable (bench/micro_core.cc).
   bool use_csr = true;
-  /// Workers the per-update source loop fans out across (the sharded
+  /// Workers the batch's source loop fans out across (the sharded
   /// parallel apply of DESIGN.md §9). 1 keeps the loop on the calling
   /// thread; 0 resolves to the hardware concurrency. Every worker owns a
   /// private engine and score partial, so results are identical to the
@@ -117,8 +119,8 @@ struct DynamicBcOptions {
 ///   double score = bc->vbc()[v];
 ///
 /// With options.num_threads > 1 every Apply/ApplyBatch fans the per-source
-/// work of each update out across an internal thread pool (prefiltered
-/// dirty-source worklist, degree-weighted dynamic chunks, per-worker score
+/// work of the batch out across an internal thread pool (prefiltered
+/// dirty-source worklists, degree-weighted dynamic chunks, per-worker score
 /// partials reduced tree-wise); the caller-facing contract is unchanged
 /// and all public methods must still be called from one thread at a time.
 class DynamicBc {
@@ -157,9 +159,13 @@ class DynamicBc {
 
   /// Applies one (typically coalesced) batch in a single call — the unit
   /// the serving layer's writer thread drains from its update queue.
-  /// Score-equivalent to calling Apply per element, but store growth,
-  /// score resizing, and engine scratch sizing are paid once per batch.
-  /// last_update_stats() afterwards covers the whole batch.
+  /// Score-equivalent to calling Apply per element, but the source loop
+  /// runs once per batch: each chunk of affected sources walks all of the
+  /// batch's updates in order while its BD records stay hot, and store
+  /// growth, fork/join and the partial reduction are paid once
+  /// (DESIGN.md §8). If update k is refused by the graph, updates [0, k)
+  /// stay applied and the error is returned. last_update_stats()
+  /// afterwards covers the whole batch.
   Status ApplyBatch(std::span<const EdgeUpdate> batch);
 
   const Graph& graph() const { return graph_; }
@@ -170,14 +176,14 @@ class DynamicBc {
   /// Edge betweenness of (u, v); zero when the edge is absent.
   double EdgeScore(VertexId u, VertexId v) const;
 
-  /// Counters for the most recent Apply call.
+  /// Counters for the most recent Apply/ApplyBatch call.
   const UpdateStats& last_update_stats() const { return last_stats_; }
 
   /// Apply workers actually in use (1 when serial).
   int num_threads() const;
 
   /// Capacity-growth events summed over every MS-BFS scratch the framework
-  /// owns (serial engine, per-worker engines, prefilter). Test hook for
+  /// owns (the drain workers' engines and the prefilter). Test hook for
   /// the reuse guarantee: once the drains are warmed this must stop
   /// moving — steady-state traversal allocates nothing.
   std::uint64_t MsBfsScratchAllocations() const;
@@ -219,10 +225,11 @@ class DynamicBc {
   BcScores EstimatedScores() const;
 
  private:
-  /// One lane of the sharded parallel apply: a private engine (scratch is
-  /// not shareable), a private score partial, and — for the out-of-core
-  /// variant — a private store handle, so the drain runs without a single
-  /// lock (BD columns of distinct sources never alias).
+  /// One lane of the batch drain: a private engine (scratch is not
+  /// shareable) and, when the drain fans out, a private score partial and
+  /// — for the out-of-core variant — a private store handle, so the drain
+  /// runs without a single lock (BD columns of distinct sources never
+  /// alias). A lone worker uses the root store and scores directly.
   struct ApplyWorker {
     std::unique_ptr<IncrementalEngine> engine;
     std::unique_ptr<BdStore> disk_store;  // kOutOfCore only
@@ -236,21 +243,25 @@ class DynamicBc {
       : options_(options),
         graph_(std::move(graph)),
         store_(std::move(store)),
-        engine_(pred_mode, options.use_csr) {}
+        pred_mode_(pred_mode) {}
 
-  /// Applies the MS-BFS configuration to the engine and prefilter.
-  void ConfigureKernels();
   /// Step 1 of the approx mode: sweeps each sampled source into the
   /// maintained sums and its BD slot.
   Status InitializeSampled(const BrandesOptions& brandes);
   /// Brandes configuration matching the engine, for resampling sweeps.
   BrandesOptions SweepOptions() const;
-  /// Worklist + dispatch for one update; `graph_` must already reflect it.
-  Status ApplyPrepared(const EdgeUpdate& update);
-  /// Drains the current worklist across the pool and folds the partials.
-  Status ParallelDrain(const EdgeUpdate& update);
-  /// Sizes worker slots (engines, deltas, per-worker DO handles) for `w`
-  /// workers over an `n`-vertex graph.
+  /// Appends the worklist of one update to the batch's step worklists;
+  /// `graph_` must already reflect the update.
+  Status CollectWorklist(const EdgeUpdate& update);
+  /// The sources of `chunk` that step `step` repairs.
+  std::span<const VertexId> StepSlice(std::size_t step,
+                                      std::span<const VertexId> chunk) const;
+  /// Repairs every step of `batch` (already applied to `graph_`, step
+  /// worklists collected): one chunk-major drain across the workers, then
+  /// one fold of the partials.
+  Status Drain(std::span<const EdgeUpdate> batch);
+  /// Sizes worker slots for `w` workers over an `n`-vertex graph: engines,
+  /// and for a fan-out the score partials and per-worker DO handles.
   Status EnsureWorkers(std::size_t w, std::size_t n);
 
   DynamicBcOptions options_;
@@ -263,16 +274,23 @@ class DynamicBc {
   /// store_ downcast when the variant is out-of-core (hint/prefetch entry
   /// points live on the disk store); null otherwise.
   DiskBdStore* disk_root_ = nullptr;
-  IncrementalEngine engine_;
+  PredMode pred_mode_;
   BcScores scores_;
   UpdateStats last_stats_;
 
-  // Sharded-apply state (null / empty while num_threads <= 1).
+  // Batch-drain state; the pool is null while num_threads <= 1.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<ApplyWorker> workers_;
   SourcePrefilter prefilter_;
   SourceSharder sharder_;
-  std::vector<VertexId> worklist_;
+  BatchSteps steps_;
+  std::vector<VertexId> worklist_;  // one update's prefilter output
+  /// Every step's worklist, ascending: step i is worklists_[first, second)
+  /// of step_ranges_[i].
+  std::vector<VertexId> worklists_;
+  std::vector<std::pair<std::size_t, std::size_t>> step_ranges_;
+  std::vector<VertexId> sources_;     // union of the step worklists
+  std::vector<std::uint32_t> hits_;   // per vertex: steps listing it
   std::vector<std::uint64_t> weights_;
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "graph/csr_view.h"
+#include "graph/step_view.h"
 
 namespace sobc {
 
@@ -585,6 +586,10 @@ Status IncrementalEngine::RunForSource(const Adj& adj,
   return EmitPatches(cx, store, stats);
 }
 
+// Fewest deferred sources one MS-BFS batch runs for; below it they take the
+// scalar path (measured on the 500- and 1000-vertex perfbench graphs).
+constexpr std::size_t kMinBatchLanes = 16;
+
 // Whether a source's repair should wait for a MS-BFS batch: every source
 // whose repair may need new distances — structural additions (decidable
 // from the peeked endpoint distances alone) and every non-skipped removal
@@ -634,7 +639,17 @@ Status IncrementalEngine::RunForSourceSpan(const Adj& adj,
                                       /*peeked=*/true, du, dv));
     }
   }
-  if (deferred_.empty()) return Status::OK();
+  if (deferred_.size() < kMinBatchLanes) {
+    // Too few lanes to pay for a traversal of the whole graph: the scalar
+    // relax-BFS walks only each source's affected region. Batch drains
+    // hand the engine one chunk's share of one update, often only a few
+    // structural sources.
+    for (const DeferredSource& ds : deferred_) {
+      SOBC_RETURN_NOT_OK(RunForSource(adj, update, ds.s, store, scores, stats,
+                                      /*peeked=*/true, ds.du, ds.dv));
+    }
+    return Status::OK();
+  }
   // Pass 2: one bit-parallel MS-BFS per 64 deferred sources computes their
   // final post-update distances in a shared pass over the adjacency, then
   // each source's repair pipeline runs seeded with its lane.
@@ -706,6 +721,26 @@ Status IncrementalEngine::ApplyUpdateForSources(
   }
   return RunForSourceSpan(GraphAdjacency(graph), update, sources, store,
                           scores, stats);
+}
+
+Status IncrementalEngine::ApplyStepForSources(
+    const Graph& graph, const BatchSteps& steps, std::size_t step,
+    std::span<const VertexId> sources, BdStore* store, BcScores* scores,
+    UpdateStats* stats) {
+  const EdgeUpdate& update = steps.updates()[step];
+  const bool last = step + 1 == steps.num_steps();
+  if (use_csr_) {
+    const CsrView& csr = graph.csr();
+    if (last) {
+      return RunForSourceSpan(csr, update, sources, store, scores, stats);
+    }
+    return RunForSourceSpan(StepView<CsrView>(csr, steps, step), update,
+                            sources, store, scores, stats);
+  }
+  const GraphAdjacency adj(graph);
+  if (last) return RunForSourceSpan(adj, update, sources, store, scores, stats);
+  return RunForSourceSpan(StepView<GraphAdjacency>(adj, steps, step), update,
+                          sources, store, scores, stats);
 }
 
 Status IncrementalEngine::ApplyUpdate(const Graph& graph,

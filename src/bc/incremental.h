@@ -15,6 +15,8 @@
 
 namespace sobc {
 
+class BatchSteps;
+
 /// Per-update observability counters. Aggregated across sources; used by
 /// the ablation bench and by the online scheduler's cost model.
 struct UpdateStats {
@@ -100,6 +102,16 @@ class IncrementalEngine {
                                std::span<const VertexId> sources,
                                BdStore* store, BcScores* scores,
                                UpdateStats* stats);
+
+  /// Same, for step `step` of a batch that `graph` already reflects in
+  /// full: the traversal reads the graph as it stood right after that
+  /// step, through a StepView of the final snapshot, so one chunk of
+  /// sources can walk every step of the batch while its records stay hot
+  /// (DESIGN.md §8). The last step reads the final graph directly.
+  Status ApplyStepForSources(const Graph& graph, const BatchSteps& steps,
+                             std::size_t step,
+                             std::span<const VertexId> sources, BdStore* store,
+                             BcScores* scores, UpdateStats* stats);
 
   /// Processes a single source (Algorithm 1's loop body).
   Status ApplyUpdateForSource(const Graph& graph, const EdgeUpdate& update,

@@ -41,6 +41,16 @@ void SourceSharder::Reset(std::span<const VertexId> worklist,
   const std::uint64_t target_weight = std::max<std::uint64_t>(
       options.min_chunk_weight, (total + target_chunks - 1) / target_chunks);
 
+  std::size_t align = std::max<std::size_t>(1, options.batch_align);
+  std::size_t cap = options.max_chunk_sources;
+  if (cap != 0) {
+    if (cap < align) {
+      align = 1;
+    } else {
+      cap -= cap % align;
+    }
+  }
+
   bounds_.push_back(0);
   std::size_t next_break = 0;  // index into hard_breaks
   std::uint64_t acc = 0;
@@ -56,9 +66,10 @@ void SourceSharder::Reset(std::span<const VertexId> worklist,
       }
       ++next_break;
     }
-    const std::size_t align = std::max<std::size_t>(1, options.batch_align);
-    if (acc >= target_weight && i + 1 < worklist.size() &&
-        bounds_.back() != i + 1 && (i + 1 - bounds_.back()) % align == 0) {
+    const std::size_t len = i + 1 - bounds_.back();
+    const bool cut = (cap != 0 && len >= cap) ||
+                     (acc >= target_weight && len % align == 0);
+    if (cut && i + 1 < worklist.size() && len != 0) {
       bounds_.push_back(i + 1);
       acc = 0;
     }

@@ -46,6 +46,12 @@ struct SourceSharderOptions {
   /// batches (64 lanes) instead of ragged tails that waste lane occupancy.
   /// 1 disables alignment; hard partition breaks still cut exactly.
   std::size_t batch_align = 1;
+  /// Most sources one chunk may hold (0 = no cap). The out-of-core drain
+  /// derives it from the record cache budget, so that every chunk in
+  /// flight plus its read-ahead stays resident while the chunk walks all
+  /// of a batch's steps. A cap below batch_align overrides the alignment;
+  /// a larger one is rounded down to a multiple of it.
+  std::size_t max_chunk_sources = 0;
 };
 
 /// Degree-weighted dynamic work distribution over a dirty-source worklist

@@ -33,10 +33,10 @@ struct PrefetchStats {
 /// fetch is just a cache miss — so hints are fire-and-forget from any
 /// thread.
 ///
-/// Pacing comes from the hint sites, not from this class: the sharded
+/// Pacing comes from the hint sites, not from this class: the batch
 /// drain's worker claiming chunk k hints chunk k + lookahead
-/// (SourceSharder::ChunkSources), and the serial drain hints the next
-/// slab before computing the current one — double-buffering in both cases.
+/// (SourceSharder::ChunkSources) — double-buffering, with chunk size and
+/// lookahead sized so both fit in the shared cache.
 ///
 /// Quiesce() empties the queue and blocks until the thread is idle; the
 /// store calls it before Grow (the epoch array is resized) and before

@@ -177,6 +177,12 @@ class RecordCache {
   Stats stats() const;
   std::size_t capacity_bytes() const { return capacity_bytes_; }
 
+  /// Records of `record_bytes` (CachedRecord::ByteSize, > 0) the cache
+  /// holds when full: whole records per shard times the shard count.
+  std::size_t RecordSlots(std::size_t record_bytes) const {
+    return kShards * (shard_capacity_ / record_bytes);
+  }
+
   /// Shard count — one decoded record must fit capacity/kShards to be
   /// cacheable at all (see Stats::oversize_rejects).
   static constexpr std::size_t kShards = 16;
